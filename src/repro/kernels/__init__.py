@@ -1,10 +1,10 @@
 """Vectorized kernels for the hot tagging/affinity paths.
 
-The three hottest paths of the pass — iteration tagging
-(:mod:`repro.blocks.tagger`), greedy clustering
-(:mod:`repro.mapping.clustering`) and local scheduling
-(:mod:`repro.mapping.schedule`) — evaluate affine subscripts and tag dot
+Iteration tagging (:mod:`repro.blocks.tagger`) and local scheduling
+(:mod:`repro.mapping.schedule`) evaluate affine subscripts and tag dot
 products one Python integer at a time over the full iteration space K.
+(Greedy clustering needs no kernel: it only dots pairs that share a
+data block, found through a block index.)
 This package provides NumPy bulk equivalents: affine offset forms are
 evaluated as array operations over the whole iteration space, and tags
 are packed into fixed-width ``uint64`` lanes so dot products and Hamming
@@ -69,7 +69,7 @@ def note_fallback(reason: str, where: str) -> None:
     """Record a silent-scalar-fallback event: obs counter + one warning.
 
     ``reason`` is one of :data:`FALLBACK_REASONS`; ``where`` names the
-    call site (e.g. ``"tagging"``, ``"clustering"``).  The counter
+    call site (e.g. ``"tagging"``, ``"schedule"``).  The counter
     ``kernels.fallback.<reason>`` increments on every event; the
     ``warnings.warn`` fires once per reason per process, so logs state
     which backend actually ran without flooding.

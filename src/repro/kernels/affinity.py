@@ -54,18 +54,6 @@ def dot_many(row: "np.ndarray", packed: "np.ndarray") -> "np.ndarray":
     return popcount(packed & row[None, :]).sum(axis=-1)
 
 
-def dot_pairs(packed: "np.ndarray") -> tuple[list[int], list[int], list[int]]:
-    """All unordered pairs ``i < j`` with a positive dot product.
-
-    Returns parallel lists ``(i, j, weight)`` as Python ints, in row-major
-    (``i`` then ``j``) order — exactly the pairs the scalar clustering
-    seeds its merge heap with.
-    """
-    dots = dot_matrix(packed)
-    ii, jj = np.nonzero(np.triu(dots, 1))
-    return ii.tolist(), jj.tolist(), dots[ii, jj].tolist()
-
-
 def dot_select(
     row: "np.ndarray", rows: Sequence["np.ndarray | None"], indices: Sequence[int]
 ) -> list[int]:

@@ -1,8 +1,9 @@
 """Microbenchmarks for the vectorized kernel layer.
 
-Times the scalar reference against the numpy backend on the three routed
-hot paths — tagging, pairwise affinity, clustering — over nests whose
-size and block geometry mirror the paper's compile-time experiments.
+Times the scalar reference against the numpy backend on tagging and the
+pairwise affinity table, over nests whose size and block geometry mirror
+the paper's compile-time experiments.  (Clustering has no numpy backend:
+it scores only the pairs that share a data block.)
 Timings are best-of-N wall clock (best-of suppresses scheduler noise
 better than means for sub-second kernels); both backends run on
 identical inputs and their outputs are cross-checked before timing, so a
@@ -30,7 +31,6 @@ from repro.ir.accesses import ArrayAccess
 from repro.ir.arrays import Array
 from repro.ir.loops import LoopNest
 from repro.kernels import have_numpy
-from repro.mapping.clustering import cluster_one_level
 from repro.poly.affine import AffineExpr
 from repro.poly.intset import IntSet
 
@@ -153,33 +153,6 @@ def bench_affinity(name: str, n: int, block_size: int, repeats: int = 5) -> dict
     }
 
 
-def bench_clustering(name: str, n: int, block_size: int, k: int = 4, repeats: int = 3) -> dict:
-    nest, partition = build_config(name, n, block_size)
-    groups = list(tagger.tag_iterations(nest, partition, backend="python").groups)
-
-    base = 1_000_000
-
-    def run(backend: str):
-        IterationGroup.reset_idents(base)
-        return cluster_one_level(groups, k, 0.10, backend=backend)
-
-    py = [[g.ident for g in c.groups] for c in run("python")]
-    np_ = [[g.ident for g in c.groups] for c in run("numpy")]
-    if py != np_:
-        raise AssertionError(f"clustering backends disagree on {name}")
-    python_s = best_of(lambda: run("python"), repeats)
-    numpy_s = best_of(lambda: run("numpy"), repeats)
-    return {
-        "kernel": "clustering",
-        "config": name,
-        "groups": len(groups),
-        "clusters": k,
-        "python_ms": round(python_s * 1e3, 3),
-        "numpy_ms": round(numpy_s * 1e3, 3),
-        "speedup": round(python_s / numpy_s, 2),
-    }
-
-
 def run_suite(configs=None, repeats: int = 5) -> dict:
     """The full microbenchmark report as a JSON-serializable dict."""
     if configs is None:
@@ -191,14 +164,11 @@ def run_suite(configs=None, repeats: int = 5) -> dict:
     entries = []
     for name, n, block_size in configs:
         entries.append(bench_tagging(name, n, block_size, repeats))
-    # Affinity at both ends of the group-count range; clustering once —
-    # its runtime is dominated by the (shared) merge machinery, so more
-    # configs add time without adding information.
+    # Affinity at both ends of the group-count range.
     head, tail = configs[0], configs[-1]
     entries.append(bench_affinity(head[0], head[1], head[2], repeats))
     if tail is not head:
         entries.append(bench_affinity(tail[0], tail[1], tail[2], repeats))
-    entries.append(bench_clustering(head[0], head[1], head[2], repeats=max(2, repeats - 2)))
     return {
         "suite": "repro.kernels microbenchmarks",
         "python": platform.python_version(),

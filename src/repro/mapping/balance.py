@@ -10,31 +10,91 @@ sub-groups) so the sizes land inside the window.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right, insort
+
 from repro import obs
 from repro.errors import MappingError
 from repro.blocks.groups import IterationGroup
-from repro.blocks.tags import bitwise_sum, dot
+from repro.blocks.tags import bitwise_sum
+from repro.util.bitset import bits_of
 
 
 class Cluster:
-    """A mutable bag of iteration groups with cached tag and size."""
+    """A mutable bag of iteration groups with cached tag and size.
 
-    __slots__ = ("groups", "tag", "size")
+    Removal keeps the tag exact through per-block membership:
+    ``holders()`` maps every block of the tag to the member groups that
+    touch it (the block's reference count is the set's size), so
+    ``add``/``remove`` cost O(popcount) of the moved group instead of an
+    OR over every member.  The index, and the ``(size, -ident)``-sorted
+    view balancing searches by size, are built on first use: clusters
+    that are only merged never pay for them.
+    """
+
+    __slots__ = ("groups", "tag", "size", "_holders", "_by_size")
 
     def __init__(self, groups: list[IterationGroup] | None = None):
         self.groups: list[IterationGroup] = list(groups or [])
         self.tag = bitwise_sum(*(g.tag for g in self.groups))
         self.size = sum(g.size for g in self.groups)
+        self._holders: dict[int, set[IterationGroup]] | None = None
+        self._by_size: list[tuple[int, int, IterationGroup]] | None = None
+
+    @classmethod
+    def merged(cls, first: "Cluster", second: "Cluster") -> "Cluster":
+        """The union of two clusters, ``first``'s groups leading."""
+        out = cls()
+        out.groups = first.groups + second.groups
+        out.tag = first.tag | second.tag
+        out.size = first.size + second.size
+        return out
+
+    def holders(self) -> dict[int, set[IterationGroup]]:
+        """Block -> member groups whose tag covers it."""
+        if self._holders is None:
+            self._holders = {}
+            for group in self.groups:
+                self._hold(group)
+        return self._holders
+
+    def _hold(self, group: IterationGroup) -> None:
+        holders = self._holders
+        for block in bits_of(group.tag):
+            members = holders.get(block)
+            if members is None:
+                holders[block] = {group}
+            else:
+                members.add(group)
+
+    def by_size(self) -> list[tuple[int, int, IterationGroup]]:
+        """Members as ascending ``(size, -ident, group)`` entries."""
+        if self._by_size is None:
+            self._by_size = sorted((g.size, -g.ident, g) for g in self.groups)
+        return self._by_size
 
     def add(self, group: IterationGroup) -> None:
         self.groups.append(group)
         self.tag |= group.tag
         self.size += group.size
+        if self._holders is not None:
+            self._hold(group)
+        if self._by_size is not None:
+            insort(self._by_size, (group.size, -group.ident, group))
 
     def remove(self, group: IterationGroup) -> None:
+        holders = self.holders()
         self.groups.remove(group)
         self.size -= group.size
-        self.tag = bitwise_sum(*(g.tag for g in self.groups))
+        for block in bits_of(group.tag):
+            members = holders[block]
+            members.discard(group)
+            if not members:
+                del holders[block]
+                self.tag ^= 1 << block
+        if self._by_size is not None:
+            view = self._by_size
+            del view[bisect_left(view, (group.size, -group.ident))]
 
     def __repr__(self) -> str:
         return f"Cluster({len(self.groups)} groups, {self.size} iters)"
@@ -48,6 +108,46 @@ def balance_limits(total: int, k: int, threshold: float) -> tuple[float, float]:
         raise MappingError(f"balance threshold must be in [0, 1), got {threshold}")
     avg = total / k
     return avg * (1 - threshold), avg * (1 + threshold)
+
+
+def _pick(donor: Cluster, tag: int, low: int, high: float) -> IterationGroup | None:
+    """The donor group maximizing ``(dot(g.tag, tag), g.size, -g.ident)``
+    among those with ``low <= g.size <= high``, or None.
+
+    Groups sharing a block with ``tag`` come from the donor's block index;
+    the best zero-dot group is the largest ``(size, -ident)`` entry within
+    ``high``.  If a group sharing a block were eligible it would already
+    have won, so that entry has dot 0 whenever it is eligible.
+    """
+    # A member's tag lies inside the donor's, so its dot with ``tag`` is
+    # the number of shared donor blocks it holds: count them off the index.
+    holders = donor.holders()
+    shared: dict[IterationGroup, int] = {}
+    for block in bits_of(donor.tag & tag):
+        for group in holders[block]:
+            shared[group] = shared.get(group, 0) + 1
+    best = None
+    best_key: tuple[int, int, int] | None = None
+    for group, common in shared.items():
+        size = group.size
+        if low <= size <= high:
+            key = (common, size, -group.ident)
+            if best_key is None or key > best_key:
+                best, best_key = group, key
+    if best is not None:
+        return best
+    view = donor.by_size()
+    index = bisect_right(view, (high, math.inf)) - 1
+    if index >= 0 and view[index][0] >= low:
+        return view[index][2]
+    return None
+
+
+def _move_bound(donor: Cluster, low_d: float, recipient: Cluster, up_r: float) -> int:
+    """Largest group size whose move keeps the donor at or above
+    ``low_d`` and the recipient at or below ``up_r`` (exact on integers:
+    ``donor.size - g >= low_d`` iff ``g <= donor.size - ceil(low_d)``)."""
+    return min(donor.size - math.ceil(low_d), math.floor(up_r) - recipient.size)
 
 
 def balance_clusters(clusters: list[Cluster], threshold: float) -> None:
@@ -83,13 +183,8 @@ def balance_clusters(clusters: list[Cluster], threshold: float) -> None:
             recipient = min(under or [c for c in clusters if c is not donor], key=lambda c: c.size)
 
             # A whole-group move is eligible when both ends stay in the window.
-            eligible = [
-                g
-                for g in donor.groups
-                if donor.size - g.size >= low and recipient.size + g.size <= up
-            ]
-            if eligible:
-                best = max(eligible, key=lambda g: (dot(g.tag, recipient.tag), g.size, -g.ident))
+            best = _pick(donor, recipient.tag, 1, _move_bound(donor, low, recipient, up))
+            if best is not None:
                 donor.remove(best)
                 recipient.add(best)
                 moves += 1
@@ -99,16 +194,15 @@ def balance_clusters(clusters: list[Cluster], threshold: float) -> None:
             # average (and never overfill the recipient).
             need = min(int(donor.size - (low + up) / 2), int(up - recipient.size))
             need = max(1, need)
-            candidates = [g for g in donor.groups if g.size > 1]
-            if not candidates:
+            victim = _pick(donor, recipient.tag, 2, math.inf)
+            if victim is None:
                 # All groups are single iterations but none was eligible:
                 # force-move the best single iteration group.
-                best = max(donor.groups, key=lambda g: (dot(g.tag, recipient.tag), -g.ident))
+                best = _pick(donor, recipient.tag, 1, math.inf)
                 donor.remove(best)
                 recipient.add(best)
                 forced += 1
                 continue
-            victim = max(candidates, key=lambda g: (dot(g.tag, recipient.tag), g.size, -g.ident))
             cut = min(need, victim.size - 1)
             moved, kept = victim.split(cut)
             donor.remove(victim)
@@ -163,13 +257,8 @@ def balance_to_targets(clusters: list[Cluster], targets: list[float], threshold:
             recipient = clusters[ri]
             low_r, up_r = limits[ri]
 
-            eligible = [
-                g
-                for g in donor.groups
-                if donor.size - g.size >= low_d and recipient.size + g.size <= up_r
-            ]
-            if eligible:
-                best = max(eligible, key=lambda g: (dot(g.tag, recipient.tag), g.size, -g.ident))
+            best = _pick(donor, recipient.tag, 1, _move_bound(donor, low_d, recipient, up_r))
+            if best is not None:
                 donor.remove(best)
                 recipient.add(best)
                 moves += 1
@@ -177,14 +266,13 @@ def balance_to_targets(clusters: list[Cluster], targets: list[float], threshold:
 
             need = min(int(donor.size - (low_d + up_d) / 2), int(up_r - recipient.size))
             need = max(1, need)
-            candidates = [g for g in donor.groups if g.size > 1]
-            if not candidates:
-                best = max(donor.groups, key=lambda g: (dot(g.tag, recipient.tag), -g.ident))
+            victim = _pick(donor, recipient.tag, 2, math.inf)
+            if victim is None:
+                best = _pick(donor, recipient.tag, 1, math.inf)
                 donor.remove(best)
                 recipient.add(best)
                 forced += 1
                 continue
-            victim = max(candidates, key=lambda g: (dot(g.tag, recipient.tag), g.size, -g.ident))
             cut = min(need, victim.size - 1)
             moved, kept = victim.split(cut)
             donor.remove(victim)

@@ -18,14 +18,13 @@ from collections.abc import Sequence
 from repro import obs
 from repro.errors import MappingError
 from repro.blocks.groups import IterationGroup
-from repro.blocks.tags import dot
-from repro.kernels import fits_lane_budget, note_fallback, resolve_backend
 from repro.mapping.balance import Cluster, balance_clusters, balance_to_targets
 from repro.topology.tree import Machine, TopologyNode
+from repro.util.bitset import bits_of
 
 
 def cluster_one_level(
-    groups: Sequence[IterationGroup], k: int, threshold: float, backend: str = "auto"
+    groups: Sequence[IterationGroup], k: int, threshold: float
 ) -> list[Cluster]:
     """Cluster a set of iteration groups into exactly ``k`` clusters.
 
@@ -40,12 +39,11 @@ def cluster_one_level(
     (the paper's Figure 20): a deeper tree hands the algorithm a sequence
     of small-fan-out decisions instead of one noisy flat cut.
 
-    ``backend`` selects how the O(G^2) pair affinities are computed (see
-    :mod:`repro.kernels`); the merge sequence — and therefore the result —
-    is identical for every backend, because heap entries are the same
-    exact integers either way.
+    Only pairs that share a data block are ever scored, so the cost
+    follows the sparse affinity graph rather than all pairs of groups
+    (see :func:`_cluster_to_k`).
     """
-    result = _cluster_to_k(groups, k, backend)
+    result = _cluster_to_k(groups, k)
     balance_clusters(result, threshold)
     return result
 
@@ -54,7 +52,6 @@ def cluster_weighted(
     groups: Sequence[IterationGroup],
     weights: Sequence[int],
     threshold: float,
-    backend: str = "auto",
 ) -> list[Cluster]:
     """Cluster into ``len(weights)`` clusters sized proportionally to ``weights``.
 
@@ -67,7 +64,7 @@ def cluster_weighted(
     k = len(weights)
     if any(w <= 0 for w in weights):
         raise MappingError(f"cluster weights must be positive, got {list(weights)}")
-    result = _cluster_to_k(groups, k, backend)
+    result = _cluster_to_k(groups, k)
     total = sum(c.size for c in result)
     wsum = sum(weights)
     targets = [total * w / wsum for w in weights]
@@ -83,10 +80,25 @@ def cluster_weighted(
     return slots
 
 
-def _cluster_to_k(
-    groups: Sequence[IterationGroup], k: int, backend: str = "auto"
-) -> list[Cluster]:
-    """Greedy merge + split to exactly ``k`` clusters (no balancing)."""
+def _cluster_to_k(groups: Sequence[IterationGroup], k: int) -> list[Cluster]:
+    """Greedy merge + split to exactly ``k`` clusters (no balancing).
+
+    The affinity graph is sparse — an edge needs a shared data block —
+    so the work follows its edges, not all pairs of clusters:
+
+    * the pair heap is seeded from a block -> clusters index built by
+      walking each tag's set bits, so only sharing pairs are dotted;
+    * every live cluster keeps the set of live clusters it shares a
+      block with; a merged cluster's set is the union of its parts'
+      (a block of ``a | b`` is a block of ``a`` or of ``b``), and only
+      those neighbours get new heap entries;
+    * the zero-affinity fallback pops a lazy ``(size, index)`` heap.
+
+    Heap entries ``(-dot, combined size, i, j)`` are unique (indices are
+    never reused), so the pop order — and with it the merge sequence —
+    is independent of push order: the result equals the all-pairs
+    formulation's exactly.  ``cluster.dots`` counts the dot products.
+    """
     if k <= 0:
         raise MappingError("cluster count must be positive")
     clusters: list[Cluster | None] = [Cluster([g]) for g in groups]
@@ -96,94 +108,76 @@ def _cluster_to_k(
         # cluster is empty and the cores below it idle.
         return [Cluster() for _ in range(k)]
 
-    # Merging only ORs tags together, so the widest input tag bounds every
-    # cluster tag ever formed — the lane budget can be checked up front.
-    use_numpy = resolve_backend(backend) == "numpy" and bool(clusters)
-    if use_numpy:
-        num_bits = max(c.tag.bit_length() for c in clusters)
-        use_numpy = fits_lane_budget(num_bits)
-        if not use_numpy:
-            note_fallback("lane-budget", "clustering")
-    obs.count(f"kernels.backend.{'numpy' if use_numpy else 'python'}")
-    if use_numpy:
-        from repro.kernels.affinity import dot_pairs
-        from repro.kernels.lanes import lanes_for_bits, pack_tags
-
-        packed = pack_tags([c.tag for c in clusters], lanes_for_bits(num_bits))
-
     # Lazy-deletion pair heap keyed by (-dot, combined size, ids).  Pairs
     # with zero affinity are left out: merging unrelated clusters is only a
-    # packing decision, handled by the zero-affinity fallback below, and
-    # skipping them keeps the heap near-linear for sparse sharing graphs.
-    with obs.span(
-        "affinity.pairs",
-        groups=len(clusters),
-        backend="numpy" if use_numpy else "python",
-    ) as affinity_span:
+    # packing decision, handled by the zero-affinity fallback below.  The
+    # hot loops inline the tag dot product as an AND popcount.
+    with obs.span("affinity.pairs", groups=len(clusters)) as affinity_span:
+        blocks = [list(bits_of(cluster.tag)) for cluster in clusters]
+        holders: dict[int, list[int]] = {}
+        for index, owned in enumerate(blocks):
+            for block in owned:
+                holders.setdefault(block, []).append(index)
+        neighbours: list[set[int] | None] = []
         heap: list[tuple[int, int, int, int]] = []
-        if use_numpy:
-            sizes = [c.size for c in clusters]
-            for i, j, weight in zip(*dot_pairs(packed)):
-                heap.append((-weight, sizes[i] + sizes[j], i, j))
-        else:
-            for i in range(len(clusters)):
-                tag_i = clusters[i].tag
-                size_i = clusters[i].size
-                for j in range(i + 1, len(clusters)):
-                    weight = dot(tag_i, clusters[j].tag)
-                    if weight > 0:
-                        heap.append((-weight, size_i + clusters[j].size, i, j))
+        for i, cluster in enumerate(clusters):
+            near = set().union(*(holders[block] for block in blocks[i]))
+            near.discard(i)
+            neighbours.append(near)
+            tag_i, size_i = cluster.tag, cluster.size
+            for j in near:
+                if j > i:
+                    other = clusters[j]
+                    heap.append((-(tag_i & other.tag).bit_count(), size_i + other.size, i, j))
+        del blocks, holders
+        dots = len(heap)
         heapq.heapify(heap)
         affinity_span.tag(pairs=len(heap))
+    by_size = [(c.size, index) for index, c in enumerate(clusters)]
+    heapq.heapify(by_size)
 
-    # Incremental pushes after a merge stay scalar on every backend: they
-    # are O(alive) big-int dots against one tag, where the per-call numpy
-    # packing overhead outweighs the vector win for typical tag widths.
-    # The entries are the same exact integers either way.
-    def push_pairs(new_index: int) -> None:
-        new = clusters[new_index]
-        for idx, other in enumerate(clusters):
-            if other is None or idx == new_index:
-                continue
-            weight = dot(new.tag, other.tag)
-            if weight > 0:
-                heapq.heappush(
-                    heap,
-                    (-weight, new.size + other.size, min(idx, new_index), max(idx, new_index)),
-                )
+    def smallest_live() -> int:
+        while True:
+            _, index = heapq.heappop(by_size)
+            if clusters[index] is not None:
+                return index
 
     while alive > k:
-        merged = False
         while heap:
             _, __, i, j = heapq.heappop(heap)
-            if clusters[i] is None or clusters[j] is None:
-                continue
-            a, b = clusters[i], clusters[j]
-            clusters[i] = None
-            clusters[j] = None
-            combined = Cluster(a.groups + b.groups)
-            clusters.append(combined)
-            alive -= 1
-            push_pairs(len(clusters) - 1)
-            obs.count("cluster.merges")
-            merged = True
-            break
-        if not merged:
+            if clusters[i] is not None and clusters[j] is not None:
+                break
+        else:
             # Zero-affinity fallback: no sharing left anywhere; merge the
             # two smallest clusters (pure size packing).
-            live = sorted(
-                (idx for idx, c in enumerate(clusters) if c is not None),
-                key=lambda idx: clusters[idx].size,
-            )
-            i, j = live[0], live[1]
-            a, b = clusters[i], clusters[j]
-            clusters[i] = None
-            clusters[j] = None
-            clusters.append(Cluster(a.groups + b.groups))
-            alive -= 1
-            push_pairs(len(clusters) - 1)
-            obs.count("cluster.merges")
+            i = smallest_live()
+            j = smallest_live()
             obs.count("cluster.zero_affinity_merges")
+        new = len(clusters)
+        combined = Cluster.merged(clusters[i], clusters[j])
+        clusters[i] = clusters[j] = None
+        clusters.append(combined)
+        alive -= 1
+        near = neighbours[i] | neighbours[j]
+        near.discard(i)
+        near.discard(j)
+        neighbours[i] = neighbours[j] = None
+        neighbours.append(near)
+        tag, size = combined.tag, combined.size
+        for other_index in near:
+            other_near = neighbours[other_index]
+            other_near.discard(i)
+            other_near.discard(j)
+            other_near.add(new)
+            other = clusters[other_index]
+            heapq.heappush(
+                heap,
+                (-(tag & other.tag).bit_count(), size + other.size, other_index, new),
+            )
+        dots += len(near)
+        heapq.heappush(by_size, (combined.size, new))
+        obs.count("cluster.merges")
+    obs.count("cluster.dots", dots)
 
     result = [c for c in clusters if c is not None]
 
@@ -230,7 +224,6 @@ def hierarchical_distribute(
     machine: Machine,
     threshold: float = 0.10,
     strategy: str = "greedy",
-    backend: str = "auto",
 ) -> list[list[IterationGroup]]:
     """Figure 6 end to end: groups -> per-core group lists.
 
@@ -238,16 +231,14 @@ def hierarchical_distribute(
     the cache tree leaves).  ``strategy`` selects the per-level
     partitioner: ``"greedy"`` is the paper's dot-product merge; ``"kl"``
     additionally refines every two-way cut with Kernighan-Lin swaps
-    (higher-fan-out levels always use the greedy merge).  ``backend``
-    is forwarded to :func:`cluster_one_level`; it never changes the
-    resulting distribution.
+    (higher-fan-out levels always use the greedy merge).
     """
     if not groups:
         raise MappingError("no iteration groups to distribute")
     if strategy not in ("greedy", "kl"):
         raise MappingError(f"unknown clustering strategy {strategy!r}")
     if not machine.is_level_uniform():
-        return tree_distribute(groups, machine, threshold, strategy, backend)
+        return tree_distribute(groups, machine, threshold, strategy)
     degrees = machine.clustering_degrees()
     with obs.span(
         "cluster.distribute",
@@ -271,9 +262,7 @@ def hierarchical_distribute(
 
                         clusters = cluster_one_level_kl(current, threshold)
                     else:
-                        clusters = cluster_one_level(
-                            current, degree, threshold, backend=backend
-                        )
+                        clusters = cluster_one_level(current, degree, threshold)
                     next_sets.extend([list(c.groups) for c in clusters])
                 cluster_sets = next_sets
         if len(cluster_sets) != machine.num_cores:
@@ -289,7 +278,6 @@ def tree_distribute(
     machine: Machine,
     threshold: float = 0.10,
     strategy: str = "greedy",
-    backend: str = "auto",
 ) -> list[list[IterationGroup]]:
     """Figure 6 generalized to non-level-uniform trees.
 
@@ -322,9 +310,9 @@ def tree_distribute(
 
                 clusters = cluster_one_level_kl(current, threshold)
             else:
-                clusters = cluster_one_level(current, len(children), threshold, backend=backend)
+                clusters = cluster_one_level(current, len(children), threshold)
         else:
-            clusters = cluster_weighted(current, weights, threshold, backend=backend)
+            clusters = cluster_weighted(current, weights, threshold)
         out: list[list[IterationGroup]] = []
         for child, cluster in zip(children, clusters):
             out.extend(descend(child, list(cluster.groups)))

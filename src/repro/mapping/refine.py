@@ -27,14 +27,17 @@ from repro.topology.tree import Machine
 Assignment = list[list[IterationGroup]]
 
 
-def _tree_cost(core_tags: Sequence[int], machine: Machine) -> float:
-    cost = 0.0
+#: One cache node of the objective: (latency, cores below, same as a set).
+CacheNode = tuple[float, tuple[int, ...], frozenset[int]]
+
+
+def _cache_nodes(machine: Machine) -> list[CacheNode]:
+    """The cache tree flattened once per refinement, in ``cache_nodes`` order."""
+    out: list[CacheNode] = []
     for node in machine.cache_nodes():
-        tag = 0
-        for core in node.cores_below():
-            tag |= core_tags[core]
-        cost += node.spec.latency * ones(tag)
-    return cost
+        below = node.cores_below()
+        out.append((node.spec.latency, below, frozenset(below)))
+    return out
 
 
 def refine_assignment(
@@ -74,7 +77,7 @@ def refine_assignment(
         return tag
 
     core_tags = [core_tag(c) for c in range(n_cores)]
-    current = _tree_cost(core_tags, machine)
+    nodes = _cache_nodes(machine)
 
     for _ in range(max_passes):
         improved = False
@@ -91,7 +94,7 @@ def refine_assignment(
                         and sizes[recipient] + group.size <= up
                     ):
                         gain = _move_gain(
-                            state, core_tags, machine, donor, group, recipient, None
+                            state, core_tags, nodes, donor, group, recipient, None
                         )
                         if gain > best_gain + 1e-9:
                             best_gain = gain
@@ -105,7 +108,7 @@ def refine_assignment(
                         ):
                             continue
                         gain = _move_gain(
-                            state, core_tags, machine, donor, group, recipient, other
+                            state, core_tags, nodes, donor, group, recipient, other
                         )
                         if gain > best_gain + 1e-9:
                             best_gain = gain
@@ -123,7 +126,6 @@ def refine_assignment(
                         sizes[recipient] -= other.size
                     core_tags[donor] = core_tag(donor)
                     core_tags[recipient] = core_tag(recipient)
-                    current -= best_gain
                     improved = True
         if not improved:
             break
@@ -133,7 +135,7 @@ def refine_assignment(
 def _move_gain(
     state: Assignment,
     core_tags: list[int],
-    machine: Machine,
+    nodes: Sequence[CacheNode],
     donor: int,
     group: IterationGroup,
     recipient: int,
@@ -157,14 +159,13 @@ def _move_gain(
     new_tags[recipient] = tag
     # Only tree nodes covering donor or recipient change cost.
     before = after = 0.0
-    for node in machine.cache_nodes():
-        below = node.cores_below()
-        if donor in below or recipient in below:
+    for latency, below, below_set in nodes:
+        if donor in below_set or recipient in below_set:
             old_tag = 0
             new_tag = 0
             for core in below:
                 old_tag |= core_tags[core]
                 new_tag |= new_tags[core]
-            before += node.spec.latency * ones(old_tag)
-            after += node.spec.latency * ones(new_tag)
+            before += latency * ones(old_tag)
+            after += latency * ones(new_tag)
     return before - after

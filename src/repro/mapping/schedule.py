@@ -13,12 +13,15 @@ cache in order and picks, for every core, groups that
 Round quotas follow the paper: the first core of a shared-cache set
 catches up to the set's last core, each later core catches up to its left
 neighbor, so iteration counts stay aligned and the barrier at the end of
-each round is cheap.  A global progress fallback guarantees termination on
-any acyclic dependence graph.
+each round is cheap.  On an acyclic dependence graph some group is always
+ready, so every round makes progress; a round without progress means a
+cycle and raises :class:`~repro.errors.ScheduleError`.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -29,6 +32,7 @@ from repro.blocks.tags import dot, ones
 from repro.kernels import fits_lane_budget, note_fallback, resolve_backend
 from repro.mapping.dependence import GroupDependenceGraph
 from repro.topology.tree import Machine
+from repro.util.bitset import bits_of
 
 
 class _TagCache:
@@ -77,6 +81,58 @@ class _TagCache:
         return [dot(g.tag, ref_tag) for g in candidates]
 
 
+class _ReadySet:
+    """One core's ready groups: unscheduled, every requirement met.
+
+    Indexed by block and kept in ``(ones, ident)`` order, so a pick only
+    scores the groups sharing a block with a reference tag.  Every other
+    candidate scores exactly ``alpha * 0 + beta * 0``; among those, the
+    score tuple prefers the fewest ones and then the lowest ident, which
+    is the first of them in ``(ones, ident)`` order.
+    """
+
+    def __init__(self, tag_cache: _TagCache):
+        self._ones = tag_cache.ones
+        self._holders: dict[int, set[IterationGroup]] = {}
+        self._order: list[tuple[int, int, IterationGroup]] = []
+
+    def __bool__(self) -> bool:
+        return bool(self._order)
+
+    def add(self, group: IterationGroup) -> None:
+        for block in bits_of(group.tag):
+            self._holders.setdefault(block, set()).add(group)
+        insort(self._order, (self._ones(group), group.ident, group))
+
+    def remove(self, group: IterationGroup) -> None:
+        for block in bits_of(group.tag):
+            members = self._holders[block]
+            members.discard(group)
+            if not members:
+                del self._holders[block]
+        del self._order[bisect_left(self._order, (self._ones(group), group.ident))]
+
+    def most_local(self) -> IterationGroup:
+        """The ready group with the fewest ones (lowest ident on ties)."""
+        return self._order[0][2]
+
+    def candidates(self, *refs: IterationGroup | None) -> list[IterationGroup]:
+        """Groups sharing a block with a reference, plus the best of the rest."""
+        sharing: set[IterationGroup] = set()
+        for ref in refs:
+            if ref is not None:
+                for block in bits_of(ref.tag):
+                    members = self._holders.get(block)
+                    if members:
+                        sharing |= members
+        out = list(sharing)
+        for _, _, group in self._order:
+            if group not in sharing:
+                out.append(group)
+                break
+        return out
+
+
 @dataclass
 class ScheduledCore:
     """Mutable per-core scheduling state."""
@@ -112,7 +168,9 @@ def schedule_groups(
     acyclic at group granularity (see
     :meth:`~repro.mapping.dependence.GroupDependenceGraph.acyclified`).
     ``backend`` selects the tag-dot kernel (see :mod:`repro.kernels`);
-    the resulting schedule is identical for every backend.
+    the resulting schedule is identical for every backend.  ``alpha`` and
+    ``beta`` must be finite: a NaN score would make every comparison
+    false.
     """
     with obs.span(
         "schedule",
@@ -139,6 +197,10 @@ def _schedule_groups(
     if len(assignments) != machine.num_cores:
         raise ScheduleError(
             f"{len(assignments)} assignments for {machine.num_cores} cores"
+        )
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ScheduleError(
+            f"scheduling weights must be finite, got alpha={alpha}, beta={beta}"
         )
     cores = [
         ScheduledCore(core, sorted(groups, key=lambda g: g.iterations[0]))
@@ -172,32 +234,42 @@ def _schedule_groups(
                 requirement_of[g.ident] = tuple(req)
     tag_cache = _TagCache([g for groups in assignments for g in groups], backend)
 
-    prev_sched: set[int] = set()
+    # Readiness changes only when a round closes, so each group carries a
+    # count of requirements not yet scheduled in an earlier round (absent
+    # once zero) and every closing round decrements its dependents'.
+    unmet: dict[int, int] = {}
+    dependents: dict[int, list[int]] = {}
+    for ident, req in requirement_of.items():
+        if req:
+            unmet[ident] = len(req)
+        for p in req:
+            dependents.setdefault(p, []).append(ident)
+    ready = [_ReadySet(tag_cache) for _ in cores]
+    owner: dict[int, tuple[int, IterationGroup]] = {}
+    for state in cores:
+        for group in state.remaining:
+            owner[group.ident] = (state.core, group)
+            if group.ident not in unmet:
+                ready[state.core].add(group)
     remaining_total = sum(len(c.remaining) for c in cores)
 
-    def eligible(state: ScheduledCore, current_round: set[int]) -> list[IterationGroup]:
-        out = []
-        for group in state.remaining:
-            requirement = requirement_of.get(group.ident, ())
-            if all(p in prev_sched for p in requirement):
-                out.append(group)
-        return out
-
     while remaining_total > 0:
-        current_round: set[int] = set()
+        current_round: list[int] = []
         progressed = 0
         for core_set in sets:
             last = cores[core_set[-1]]
             for position, core_id in enumerate(core_set):
                 state = cores[core_id]
+                core_ready = ready[core_id]
                 state.rounds.append([])
                 if not state.remaining:
                     continue
                 left = cores[core_set[position - 1]] if position > 0 else None
 
-                def pick_best(candidates: list[IterationGroup]) -> IterationGroup:
+                def pick_best() -> IterationGroup:
                     left_last = left.last_group if left is not None else None
                     own_last = state.last_group
+                    candidates = core_ready.candidates(left_last, own_last)
                     h = tag_cache.dots(candidates, left_last) if left_last is not None else None
                     v = tag_cache.dots(candidates, own_last) if own_last is not None else None
                     best_index = 0
@@ -226,44 +298,39 @@ def _schedule_groups(
                         target = pace.scheduled_count if pace is not state else None
                         if target is None or state.scheduled_count >= target:
                             break
-                    candidates = eligible(state, current_round)
-                    if not candidates:
+                    if not core_ready:
                         break
                     if state.last_group is None and position == 0 and took == 0:
                         # Very first pick on the set's lead core: the most
                         # local group (fewest 1 bits in its tag).
-                        best = min(candidates, key=lambda g: (tag_cache.ones(g), g.ident))
+                        best = core_ready.most_local()
                     else:
-                        best = pick_best(candidates)
+                        best = pick_best()
+                    core_ready.remove(best)
                     state.remaining.remove(best)
                     state.rounds[-1].append(best)
                     state.scheduled_count += best.size
-                    current_round.add(best.ident)
+                    current_round.append(best.ident)
                     took += 1
                     progressed += 1
                     remaining_total -= 1
 
         if progressed == 0:
-            # Deadlock under the quota rules: force one globally eligible
-            # group (exists for any DAG) to guarantee termination.
-            forced = False
-            for state in cores:
-                candidates = eligible(state, current_round)
-                if candidates:
-                    best = min(candidates, key=lambda g: g.ident)
-                    state.remaining.remove(best)
-                    state.rounds[-1].append(best)
-                    state.scheduled_count += best.size
-                    remaining_total -= 1
-                    obs.count("schedule.forced_picks")
-                    forced = True
-                    break
-            if not forced:
-                raise ScheduleError(
-                    "no schedulable group: the group dependence graph has a "
-                    "cycle spanning cores (acyclify it first)"
-                )
-        prev_sched |= current_round
+            # Every core's eligible set was empty at its turn, and readiness
+            # cannot change within a round: no group will ever be ready.
+            raise ScheduleError(
+                "no schedulable group: the group dependence graph has a "
+                "cycle spanning cores (acyclify it first)"
+            )
+        for ident in current_round:
+            for dependent in dependents.get(ident, ()):
+                left_unmet = unmet[dependent] - 1
+                if left_unmet:
+                    unmet[dependent] = left_unmet
+                else:
+                    del unmet[dependent]
+                    core_id, group = owner[dependent]
+                    ready[core_id].add(group)
 
     # Trim trailing empty rounds and align round counts across cores.
     max_rounds = max((len(c.rounds) for c in cores), default=0)

@@ -18,6 +18,7 @@ including ``distribute`` and diverge only at ``schedule``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from repro.errors import MappingError
@@ -74,6 +75,20 @@ class Knobs:
         if self.block_size is not None and self.block_size <= 0:
             raise MappingError(
                 f"block_size must be positive, got {self.block_size}"
+            )
+        # A NaN weight makes every Figure 7 score comparison false (the
+        # scheduler would silently take its first candidate), and a bad
+        # threshold would only fail after tagging: reject both up front.
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise MappingError(
+                    f"{name} must be a finite non-negative number, got {value}"
+                )
+        threshold = self.balance_threshold
+        if not (math.isfinite(threshold) and 0 <= threshold < 1):
+            raise MappingError(
+                f"balance threshold must be in [0, 1), got {threshold}"
             )
 
     def _value(self, name: str):

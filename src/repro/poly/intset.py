@@ -79,7 +79,7 @@ class LevelBounds:
 class IntSet:
     """A convex set of integer points over named dimensions."""
 
-    __slots__ = ("dims", "constraints", "_levels", "_empty_cache")
+    __slots__ = ("dims", "constraints", "_levels", "_empty_cache", "_count_cache")
 
     def __init__(self, dims: Sequence[str], constraints: Iterable[Constraint] = ()):
         dims = tuple(dims)
@@ -101,6 +101,7 @@ class IntSet:
         object.__setattr__(self, "constraints", tuple(kept))
         object.__setattr__(self, "_levels", None)
         object.__setattr__(self, "_empty_cache", None)
+        object.__setattr__(self, "_count_cache", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntSet is immutable")
@@ -289,8 +290,10 @@ class IntSet:
         return self._empty_cache
 
     def count(self) -> int:
-        """Number of integer points (enumerates; requires boundedness)."""
-        return sum(1 for _ in self.points())
+        """Number of integer points (enumerates once; requires boundedness)."""
+        if self._count_cache is None:
+            object.__setattr__(self, "_count_cache", sum(1 for _ in self.points()))
+        return self._count_cache
 
     def bounding_box(self) -> list[tuple[int, int]]:
         """Per-dimension (lo, hi) ranges from the rational shadow.

@@ -31,12 +31,20 @@ def bits_of(bitset: int) -> Iterator[int]:
     """Yield the set bit positions of ``bitset`` in increasing order."""
     if bitset < 0:
         raise ValueError("bitsets are non-negative integers")
-    position = 0
-    while bitset:
-        if bitset & 1:
-            yield position
-        bitset >>= 1
-        position += 1
+    if bitset.bit_count() <= 8:
+        # Sparse: peel off the lowest set bit, one pass over the words each.
+        while bitset:
+            low = bitset & -bitset
+            yield low.bit_length() - 1
+            bitset ^= low
+        return
+    # Dense: one C-level render, then a find per set bit.  Both paths are
+    # linear in the width, where shifting bit by bit would be quadratic.
+    digits = bin(bitset)[:1:-1]
+    position = digits.find("1")
+    while position >= 0:
+        yield position
+        position = digits.find("1", position + 1)
 
 
 def bit_count(bitset: int) -> int:

@@ -14,7 +14,7 @@ pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.kernels.bench import (
     SMOKE_CONFIGS,
-    bench_clustering,
+    bench_affinity,
     run_suite,
     write_report,
 )
@@ -25,7 +25,7 @@ pytestmark = pytest.mark.perf_smoke
 def test_smoke_suite_structure(tmp_path):
     report = run_suite(configs=SMOKE_CONFIGS, repeats=1)
     kinds = [e["kernel"] for e in report["entries"]]
-    assert kinds == ["tagging", "affinity-matrix", "clustering"]
+    assert kinds == ["tagging", "affinity-matrix"]
     for entry in report["entries"]:
         assert entry["python_ms"] > 0
         assert entry["numpy_ms"] > 0
@@ -44,19 +44,16 @@ def test_smoke_suite_structure(tmp_path):
 
 def test_bench_cross_checks_backends(monkeypatch):
     """The harness refuses to time backends that disagree."""
-    import repro.kernels.bench as bench
+    import repro.kernels.affinity as affinity
 
-    original = bench.cluster_one_level
+    original = affinity.dot_matrix
 
-    def broken_cluster(groups, k, threshold, backend="auto"):
-        clusters = original(groups, k, threshold, backend="python")
-        if backend == "numpy":
-            clusters = list(reversed(clusters))
-        return clusters
+    def broken_matrix(packed):
+        return original(packed) + 1
 
-    monkeypatch.setattr(bench, "cluster_one_level", broken_cluster)
+    monkeypatch.setattr(affinity, "dot_matrix", broken_matrix)
     with pytest.raises(AssertionError, match="disagree"):
-        bench_clustering("stencil-16", 16, 256, repeats=1)
+        bench_affinity("stencil-16", 16, 256, repeats=1)
 
 
 def test_main_entry_point(tmp_path, monkeypatch):

@@ -4,9 +4,10 @@ Sixty seeded random loop nests (1–3 deep, 2–4 affine accesses over one or
 two arrays, random small coefficients and block sizes) run through the
 whole pipeline on both backends.  Every stage must agree *exactly*:
 tagging must produce byte-identical GroupSets (tags, write/read tags,
-iteration order, idents), clustering the identical merge result,
-scheduling the identical round structure, and the affinity graph the
-identical edge list.
+iteration order, idents), scheduling the identical round structure, and
+the affinity graph the identical edge list.  Clustering has one
+implementation; it must reproduce the quadratic oracle in
+``tests/mapping/oracle.py`` merge for merge.
 """
 
 import random
@@ -27,6 +28,7 @@ from repro.mapping.clustering import cluster_one_level, hierarchical_distribute
 from repro.mapping.schedule import dependence_only_schedule, schedule_groups
 from repro.poly.affine import AffineExpr
 from repro.poly.intset import IntSet
+from tests.mapping import oracle
 
 NUM_NESTS = 60
 
@@ -140,21 +142,21 @@ def test_mapping_backends_identical(seed, fig9_machine):
 
     if len(groups) >= 2:
         IterationGroup.reset_idents(base)
-        merged_py = cluster_one_level(groups, 2, 0.10, backend="python")
+        merged = cluster_one_level(groups, 2, 0.10)
         IterationGroup.reset_idents(base)
-        merged_np = cluster_one_level(groups, 2, 0.10, backend="numpy")
-        assert [[g.ident for g in c.groups] for c in merged_py] == [
-            [g.ident for g in c.groups] for c in merged_np
+        expected = oracle.cluster_one_level(groups, 2, 0.10)
+        assert [[g.ident for g in c.groups] for c in merged] == [
+            [g.ident for g in c.groups] for c in expected
         ]
 
     if sum(g.size for g in groups) < 2 * fig9_machine.num_cores:
         return
     IterationGroup.reset_idents(base)
-    dist_py = hierarchical_distribute(groups, fig9_machine, backend="python")
+    dist_py = hierarchical_distribute(groups, fig9_machine)
     IterationGroup.reset_idents(base)
-    dist_np = hierarchical_distribute(groups, fig9_machine, backend="numpy")
+    dist_oracle = oracle.hierarchical_distribute(groups, fig9_machine)
     assert [[g.ident for g in core] for core in dist_py] == [
-        [g.ident for g in core] for core in dist_np
+        [g.ident for g in core] for core in dist_oracle
     ]
 
     sched_py = schedule_groups(dist_py, fig9_machine, backend="python")

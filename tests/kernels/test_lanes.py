@@ -11,7 +11,6 @@ from repro.blocks.tags import dot, hamming, ones
 from repro.kernels.affinity import (
     dot_many,
     dot_matrix,
-    dot_pairs,
     dot_select,
     hamming_many,
     hamming_matrix,
@@ -123,17 +122,6 @@ class TestAffinityKernels:
         assert hamming_many(row, self.packed).tolist() == [
             hamming(self.tags[0], t) for t in self.tags
         ]
-
-    def test_dot_pairs_matches_nested_loops(self):
-        ii, jj, ww = dot_pairs(self.packed)
-        expected = []
-        for i in range(len(self.tags)):
-            for j in range(i + 1, len(self.tags)):
-                w = dot(self.tags[i], self.tags[j])
-                if w > 0:
-                    expected.append((i, j, w))
-        assert list(zip(ii, jj, ww)) == expected
-        assert all(isinstance(w, int) for w in ww)
 
     def test_dot_select_skips_dead_rows(self):
         rows = list(self.packed)

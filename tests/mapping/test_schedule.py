@@ -38,6 +38,12 @@ class TestBasicScheduling:
         with pytest.raises(ScheduleError):
             schedule_groups([[], []], fig9_machine)
 
+    @pytest.mark.parametrize("weights", [(float("nan"), 0.5), (0.5, float("inf"))])
+    def test_non_finite_weights_rejected(self, fig9_machine, weights):
+        assignments = [[group(1, start=10 * k)] for k in range(4)]
+        with pytest.raises(ScheduleError, match="finite"):
+            schedule_groups(assignments, fig9_machine, None, *weights)
+
     def test_empty_core_allowed(self, fig9_machine):
         assignments = [[group(1)], [], [], []]
         result = schedule_groups(assignments, fig9_machine)

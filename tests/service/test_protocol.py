@@ -94,6 +94,19 @@ class TestValidation:
         with pytest.raises(BadRequest):
             parse_request(payload)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"alpha": float("nan")},
+            {"alpha": -1.0},
+            {"beta": float("inf")},
+            {"balance_threshold": 2.0},
+        ],
+    )
+    def test_bad_knob_values_raise(self, knobs):
+        with pytest.raises(BadRequest, match="alpha|beta|balance threshold"):
+            parse_request(banded_request(knobs=knobs))
+
     def test_debug_sleep_requires_debug_server(self):
         with pytest.raises(BadRequest, match="debug"):
             parse_request(banded_request(debug_sleep_ms=10))

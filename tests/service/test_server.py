@@ -289,6 +289,18 @@ class TestEndpoints:
         assert status == 400
         assert json.loads(body)["ok"] is False
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"alpha": float("nan")}, {"alpha": -1.0}, {"alpha": float("inf")},
+         {"balance_threshold": 2.0}],
+    )
+    def test_bad_knob_values_map_to_400(self, client, knobs):
+        payload = {"source": BANDED_SOURCE, "machine": "dunnington", "knobs": knobs}
+        status, _headers, body = client.request("POST", "/map", payload)
+        assert status == 400
+        reply = json.loads(body)
+        assert reply["ok"] is False
+
 
 class TestTracing:
     def test_per_request_trace_capture(self, tmp_path, monkeypatch):

@@ -97,6 +97,18 @@ class TestErrors:
         assert main(["map", program_file, "--machine", "HARPERTOWN"]) == 0
         assert "core" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [
+            ("--alpha", "nan", "alpha must be a finite non-negative number"),
+            ("--beta", "-1", "beta must be a finite non-negative number"),
+            ("--balance", "2.0", "balance threshold must be in [0, 1)"),
+        ],
+    )
+    def test_bad_knob_values_fail_clearly(self, program_file, capsys, flag, value, message):
+        assert main(["map", program_file, flag, value]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_bad_source(self, tmp_path, capsys):
         path = tmp_path / "bad.loop"
         path.write_text("for for for")
